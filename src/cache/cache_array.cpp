@@ -97,32 +97,41 @@ CacheArray::insert(Addr addr, std::uint32_t state)
     Addr line = addr & ~static_cast<Addr>(lineBytes_ - 1);
     std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
 
-    Entry *slot = nullptr;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[base + w];
-        if (!e.valid) {
-            slot = &e;
-            break;
-        }
-    }
-
+    Entry *slot = &entries_[base + fillWay(base)];
     std::optional<Victim> victim;
-    if (!slot) {
-        // Evict true-LRU.
-        slot = &entries_[base];
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            Entry &e = entries_[base + w];
-            if (e.lastUse < slot->lastUse)
-                slot = &e;
-        }
+    if (slot->valid)
         victim = Victim{slot->line, slot->state};
-    }
 
     slot->line = line;
     slot->state = state;
     slot->valid = true;
     slot->lastUse = ++useClock_;
     return victim;
+}
+
+std::optional<Victim>
+CacheArray::victimFor(Addr addr) const
+{
+    std::size_t base = static_cast<std::size_t>(setIndex(addr)) * ways_;
+    const Entry &slot = entries_[base + fillWay(base)];
+    if (!slot.valid)
+        return std::nullopt;
+    return Victim{slot.line, slot.state};
+}
+
+std::uint32_t
+CacheArray::fillWay(std::size_t base) const
+{
+    // First free way, else the true-LRU one.
+    std::uint32_t lru = 0;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        const Entry &e = entries_[base + w];
+        if (!e.valid)
+            return w;
+        if (e.lastUse < entries_[base + lru].lastUse)
+            lru = w;
+    }
+    return lru;
 }
 
 std::optional<std::uint32_t>

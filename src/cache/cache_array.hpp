@@ -73,6 +73,12 @@ class CacheArray
      */
     std::optional<Victim> insert(Addr addr, std::uint32_t state = 0);
 
+    /**
+     * The victim insert(@p addr) would evict right now, without touching
+     * anything: none while the set has a free way.
+     */
+    std::optional<Victim> victimFor(Addr addr) const;
+
     /** Removes a line if present; returns its state. */
     std::optional<std::uint32_t> invalidate(Addr addr);
 
@@ -105,6 +111,8 @@ class CacheArray
     };
 
     std::uint32_t setIndex(Addr addr) const;
+    /** Way insert() fills in the set starting at @p base. */
+    std::uint32_t fillWay(std::size_t base) const;
     Entry *find(Addr addr);
     const Entry *find(Addr addr) const;
 

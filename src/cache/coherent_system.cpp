@@ -203,8 +203,7 @@ void
 CoherentSystem::dropPrivate(Addr line, GlobalTileId gid)
 {
     {
-        // The recalled tile may be running its lock-free-looking hit
-        // path on another worker right now; its guard orders the two.
+        // The recalled tile's own hit paths hold the same guard.
         auto tile_guard = tileGuard(gid);
         l1d_[gid].invalidate(line);
         l1i_[gid].invalidate(line);
@@ -426,8 +425,7 @@ CoherentSystem::fetchFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // stale-copy bookkeeping (stalePeek) lives there.
     if (mutation_ != TestMutation::kNone)
         return false;
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
+    // Same guard the slow hit path holds (see tileGuard).
     auto tile_guard = tileGuard(gid);
     // lookup() touches the LRU on a hit — the identical (checkpointed)
     // side effect the slow path's hit branch performs — and mutates
@@ -455,8 +453,7 @@ CoherentSystem::loadFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     // the observer bail is belt and braces, not a parity requirement.)
     if (mutation_ != TestMutation::kNone || observer_ != nullptr)
         return false;
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
+    // Same guard the slow hit path holds (see tileGuard).
     auto tile_guard = tileGuard(gid);
     // lookup() touches the LRU on a hit — the identical (checkpointed)
     // side effect the slow path's L1 hit branch performs — and mutates
@@ -480,8 +477,7 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     if (mutation_ != TestMutation::kNone || observer_ != nullptr)
         return false;
     Addr line = lineAlign(addr);
-    // Same guard the slow hit path holds: a peer's recall can be
-    // invalidating this tile's lines on another worker (see tileGuard).
+    // Same guard the slow hit path holds (see tileGuard).
     auto tile_guard = tileGuard(gid);
     // One scan settles presence + M state and performs the slow path's
     // exact BPC LRU touch; a miss or non-M state mutates nothing. The
@@ -499,6 +495,88 @@ CoherentSystem::storeFastHit(GlobalTileId gid, Addr addr, Cycles &lat)
     }
     lat = timing_.l1HitLatency;
     return true;
+}
+
+bool
+CoherentSystem::crossesNode(GlobalTileId gid, Addr addr,
+                            AccessType type) const
+{
+    // Mirrors access() branch by branch, reading state only.
+    NodeId my_node = nodeOf(gid);
+    for (const auto &w : devices_) {
+        if (addr >= w.base && addr - w.base < w.size)
+            return nodeOf(w.gid) != my_node;
+    }
+    bool cacheable = type == AccessType::kLoad ||
+                     type == AccessType::kStore ||
+                     type == AccessType::kFetch ||
+                     type == AccessType::kAtomic;
+    if (!cacheable ||
+        (homing_ == HomingPolicy::kCoherenceDomains &&
+         addrNode(addr) != my_node))
+        return addrNode(addr) != my_node; // NC memory operation.
+
+    Addr line = lineAlign(addr);
+    bool read = type == AccessType::kLoad || type == AccessType::kFetch;
+    const CacheArray &l1 = type == AccessType::kFetch ? l1i_[gid] : l1d_[gid];
+    const CacheArray &bpc = bpc_[gid];
+    if (read && (l1.probe(addr) || bpc.probe(line)))
+        return false; // L1 or BPC hit.
+    bool in_bpc = bpc.probe(line);
+    if (type == AccessType::kStore && in_bpc &&
+        bpc.state(line) == kModified)
+        return false; // Store hit.
+
+    auto [hn, ht] = homeOf(line);
+    if (hn != my_node)
+        return true;
+    const std::uint64_t my_tiles = (~0ULL >> (64 - geo_.tilesPerNode))
+                                   << (my_node * geo_.tilesPerNode);
+    auto off_node = [&](const DirEntry &d) {
+        std::uint64_t members =
+            d.sharers | (d.owner >= 0 ? 1ULL << d.owner : 0);
+        return (members & ~my_tiles) != 0;
+    };
+
+    // Other nodes' phases insert into the directory map concurrently.
+    std::unique_lock<std::recursive_mutex> guard;
+    if (parallel_)
+        guard = std::unique_lock(mu_);
+    auto it = directory_.find(line);
+    const DirEntry *dir = it == directory_.end() ? nullptr : &it->second;
+    bool owned = dir && dir->owner >= 0;
+    // A load touches only an owner (downgrade, no LLC fill); a store or
+    // atomic recalls every other copy.
+    if (dir && (!read || owned) && off_node(*dir))
+        return true;
+
+    if (!(read && owned) && !(dir && dir->inLlc)) {
+        // LLC fill: the backing DRAM, then the slice's victim, whose
+        // private copies are recalled and whose dirty data is written
+        // back to its own DRAM channel.
+        if (addrNode(line) != hn)
+            return true;
+        if (auto victim = llc_[gidOf(hn, ht)].victimFor(line)) {
+            auto vit = directory_.find(victim->line);
+            bool dirty = (victim->state & 1) != 0;
+            if (vit != directory_.end()) {
+                if (off_node(vit->second))
+                    return true;
+                dirty = dirty || vit->second.owner >= 0;
+            }
+            if (dirty && addrNode(victim->line) != my_node)
+                return true;
+        }
+    }
+
+    // Private fill (not on a store upgrade or an atomic): the BPC victim
+    // notifies, or writes back to, its own home.
+    bool fills = read || (type == AccessType::kStore && !in_bpc);
+    if (fills) {
+        if (auto victim = bpc.victimFor(line))
+            return homeOf(victim->line).first != my_node;
+    }
+    return false;
 }
 
 AccessResult
@@ -553,10 +631,10 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
 
     CacheArray &l1 = (type == AccessType::kFetch) ? l1i_[gid] : l1d_[gid];
 
-    // Hit paths hold only this tile's guard: a peer's miss path can be
-    // recalling lines from these arrays concurrently (under mu_ plus
-    // this same tile guard). Released before the miss path takes mu_ —
-    // the lock order is strictly mu_ -> tile.
+    // Hit paths hold only this tile's guard, which a same-node miss path
+    // recalling lines from these arrays also takes (under mu_; other
+    // nodes' recalls wait for the quantum barrier). Released before the
+    // miss path takes mu_ — the lock order is strictly mu_ -> tile.
     {
         auto tile_guard = tileGuard(gid);
 
@@ -600,8 +678,10 @@ CoherentSystem::access(GlobalTileId gid, Addr addr, AccessType type,
     }
 
     // --- Miss: transaction to the home LLC slice ---
-    // The miss path touches cross-node state (directory, home LLC/DRAM
-    // servers, bridge shapers, peer private arrays on recalls), so it is
+    // The miss path may touch any node's state (directory, home
+    // LLC/DRAM servers, bridge shapers, peer private arrays on recalls).
+    // Inside a node phase it only runs when crossesNode() said it stays
+    // on the requester's node, but the directory map is shared, so it is
     // one critical section under the phased engine.
     auto guard = parallelGuard();
     stats_->counter("cs.bpc.misses").increment();

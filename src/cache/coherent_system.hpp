@@ -277,6 +277,20 @@ class CoherentSystem
                         std::uint32_t bytes, Cycles now);
 
     /**
+     * True when access(@p gid, @p addr, @p type) would read or write
+     * state of a node other than @p gid's: a remote home slice or
+     * directory entry, a sharer or owner on another node, another
+     * node's DRAM channel, an LLC victim with private copies elsewhere,
+     * a BPC victim homed elsewhere, or a device window or NC target on
+     * another node. Side-effect free (no counter, LRU touch, server
+     * offer or memory write), and conservative: a BPC victim that the
+     * transaction's own LLC eviction would make room for still counts.
+     * Under the phased engine such an access may not run mid-quantum;
+     * the platform performs it at the next quantum barrier instead.
+     */
+    bool crossesNode(GlobalTileId gid, Addr addr, AccessType type) const;
+
+    /**
      * Decode-cache fast path for instruction fetches: when @p addr hits
      * @p gid's L1I, replays exactly the side effects the full access()
      * walk would have on that hit — the L1I LRU touch and the
@@ -400,15 +414,15 @@ class CoherentSystem
     sim::StatRegistry &stats() { return *stats_; }
 
     /**
-     * Enables (or disables) parallel-phase locking. When on, the paths
-     * that touch state shared between nodes — device windows, NC memory
-     * operations and the whole miss path (directory, LLC/DRAM servers,
-     * bridge shapers) — serialize on one recursive mutex, while L1/BPC
-     * hits take only their own tile's lock (the phased engine confines
-     * a tile's accesses to one worker, but a *peer's* miss path recalls
-     * lines from this tile's arrays mid-quantum, so hits cannot go
-     * entirely lock-free — see tileGuard()). Off by default: the
-     * sequential engine pays one branch per access.
+     * Enables (or disables) parallel-phase locking. When on, device
+     * windows, NC memory operations and the whole miss path serialize on
+     * one recursive mutex — concurrent node phases still share the
+     * directory's hash map, into which every local miss may insert —
+     * while L1/BPC hits take only their own tile's lock (see
+     * tileGuard()). The phased engine never runs a transaction that
+     * crossesNode() flags inside a node phase, so no simulated outcome
+     * depends on the order in which the locks are granted. Off by
+     * default: the sequential engine pays one branch per access.
      */
     void setParallel(bool on) { parallel_ = on; }
 
@@ -432,9 +446,11 @@ class CoherentSystem
      * access() and the fetch/load/store fast paths — hold their own
      * tile's guard; a miss path mutating a *different* tile's arrays
      * (recall invalidations, owner downgrades) holds that tile's guard.
-     * Without it, a peer's recall races the owner's concurrent lookup on
-     * the same CacheArray bytes — a real data race that made phased
-     * cross-node-sharing runs nondeterministic. Lock order is strictly
+     * Mid-quantum those are tiles of the requester's own node, run by
+     * the same worker: a recall from another node is a cross-node
+     * transaction, performed at the barrier while no phase runs. So the
+     * guards are uncontended under the phased engine; they remain until
+     * node state is fully thread-confined. Lock order is strictly
      * mu_ -> tile (hit paths never take mu_; miss paths take tile guards
      * one at a time under mu_), so no cycle is possible.
      */
@@ -449,6 +465,13 @@ class CoherentSystem
     Cycles dramQueuedCycles(NodeId node) const
     {
         return dramServer_.at(node).queuedCycles();
+    }
+
+    /** Requests @p node's DRAM channel has served (fills, writebacks,
+     *  NC operations). */
+    std::uint64_t dramRequests(NodeId node) const
+    {
+        return dramServer_.at(node).requests();
     }
 
     /**
@@ -595,7 +618,7 @@ class CoherentSystem
     std::vector<DeviceWindow> devices_;
 
     bool parallel_ = false;
-    std::recursive_mutex mu_;
+    mutable std::recursive_mutex mu_;
     /** One lock per tile's private arrays; see tileGuard(). */
     std::unique_ptr<std::mutex[]> tileMu_;
 

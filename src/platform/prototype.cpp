@@ -197,6 +197,8 @@ class Prototype::CorePort : public riscv::MemPort
     std::uint64_t
     load(Addr addr, std::uint32_t bytes, Cycles now, Cycles &lat) override
     {
+        if (stopIfCrossNode(addr, cache::AccessType::kLoad))
+            return 0;
         auto r = proto_.cs_->access(gid_, addr, cache::AccessType::kLoad,
                                     bytes, now);
         lat = r.latency;
@@ -218,6 +220,10 @@ class Prototype::CorePort : public riscv::MemPort
     store(Addr addr, std::uint32_t bytes, std::uint64_t value, Cycles now,
           Cycles &lat) override
     {
+        // Decided before the functional write below: a stopped store
+        // changes no byte.
+        if (stopIfCrossNode(addr, cache::AccessType::kStore))
+            return;
         // Data goes into the functional store first so device windows
         // (whose handlers read it) observe the new value.
         proto_.cs_->memory().store(addr, std::min(bytes, 8u), value);
@@ -229,6 +235,8 @@ class Prototype::CorePort : public riscv::MemPort
     std::uint32_t
     fetch(Addr addr, Cycles now, Cycles &lat) override
     {
+        if (stopIfCrossNode(addr, cache::AccessType::kFetch))
+            return 0;
         auto r = proto_.cs_->access(gid_, addr, cache::AccessType::kFetch,
                                     4, now);
         lat = r.latency;
@@ -286,6 +294,8 @@ class Prototype::CorePort : public riscv::MemPort
            const std::function<std::uint64_t(std::uint64_t)> &rmw,
            Cycles now, Cycles &lat) override
     {
+        if (stopIfCrossNode(addr, cache::AccessType::kAtomic))
+            return 0;
         auto r = proto_.cs_->access(gid_, addr, cache::AccessType::kAtomic,
                                     bytes, now);
         lat = r.latency;
@@ -295,6 +305,26 @@ class Prototype::CorePort : public riscv::MemPort
     }
 
   private:
+    /**
+     * Phased engine: inside a node phase, an access whose transaction
+     * would touch another node's state is not performed — its order
+     * against that node's own accesses would follow the host thread
+     * schedule. The core stops before the instruction retires, and the
+     * engine finishes the core's chunk at the next quantum barrier
+     * (see runCoresPhased), where the access runs first.
+     * @return True when the core was stopped.
+     */
+    bool
+    stopIfCrossNode(Addr addr, cache::AccessType type)
+    {
+        if (sim::currentNode() == sim::kNoNode ||
+            !proto_.cs_->crossesNode(gid_, addr, type))
+            return false;
+        proto_.stats_.counter("platform.accessesDeferred").increment();
+        stopped_ = true;
+        return true;
+    }
+
     Prototype &proto_;
     GlobalTileId gid_;
 };
@@ -342,13 +372,19 @@ Prototype::Prototype(const PrototypeConfig &cfg) : cfg_(cfg)
             // a core on *another* node travels through the mailbox and
             // lands at the next quantum boundary (conservatively within
             // the PCIe lookahead). Same-node and serial-context changes
-            // apply immediately, as in the sequential engine.
+            // apply immediately, as in the sequential engine. A change
+            // raised while the barrier finishes a node's stopped chunk
+            // (performingFor_) for a core on another node has made that
+            // trip as well.
             NodeId acting = sim::currentNode();
             if (acting != sim::kNoNode && pkt.dstNode != acting) {
                 stats_.counter("platform.irqDeferred").increment();
                 router_.post([this, pkt] { deliverIrqPacket(pkt); });
                 return;
             }
+            if (performingFor_ != sim::kNoNode &&
+                pkt.dstNode != performingFor_)
+                stats_.counter("platform.irqDeferred").increment();
             deliverIrqPacket(pkt);
         },
         [this](std::uint32_t hart) {
@@ -848,6 +884,9 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
         std::uint64_t executed = 0;
         bool done = false;
         bool parked = false; ///< In wfi, waiting for an interrupt.
+        /** Stopped at a cross-node access; the barrier finishes the
+         *  chunk. Never set at a checkpoint (taken after the drain). */
+        bool atBarrier = false;
     };
     struct NodeState
     {
@@ -972,9 +1011,41 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
     struct LiveScope
     {
         Prototype *p;
-        ~LiveScope() { p->live_ = nullptr; }
+        ~LiveScope()
+        {
+            p->live_ = nullptr;
+            // Empty unless a phase threw: chunks posted to the barrier
+            // point into this frame.
+            p->router_.discard();
+        }
     } live_scope{this};
     live_ = &live;
+
+    // Bookkeeping after a chunk ended for reason @p r.
+    auto settle = [&](CoreState &s, riscv::HaltReason r) {
+        if (r == riscv::HaltReason::kExited ||
+            r == riscv::HaltReason::kEbreak) {
+            s.done = true;
+        } else if (r == riscv::HaltReason::kWfi) {
+            if (!core(s.gid).interruptPending())
+                s.parked = true; // Barriers re-arm on wake.
+        }
+    };
+
+    // The rest of a chunk that stopped at a cross-node access (see
+    // CorePort::stopIfCrossNode), run serially from the mailbox drain in
+    // (source node, post order). Its first step performs the access with
+    // the core's clock at the stop as issue time: nothing crosses nodes
+    // sooner than the PCIe one-way latency, which bounds the quantum,
+    // so the request lands within the lookahead the quantum claims. The
+    // rest of the chunk then runs as any chunk does.
+    auto finish_chunk = [&](CoreState &s, std::uint64_t steps, NodeId n) {
+        performingFor_ = n;
+        riscv::HaltReason r = core(s.gid).run(steps);
+        performingFor_ = sim::kNoNode;
+        s.atBarrier = false;
+        settle(s, r);
+    };
 
     auto node_phase = [&](std::uint32_t n) {
         sim::ActingNodeScope acting(n);
@@ -987,7 +1058,7 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
             // the sequential engine's policy restricted to one node.
             CoreState *next = nullptr;
             for (auto &s : node.cores) {
-                if (s.done || s.parked)
+                if (s.done || s.parked || s.atBarrier)
                     continue;
                 if (core(s.gid).cycles() >= boundary)
                     continue;
@@ -1004,16 +1075,22 @@ Prototype::runCoresPhased(const std::vector<GlobalTileId> &gids,
                 next->done = true;
                 continue;
             }
+            std::uint64_t instret = c.instret();
             riscv::HaltReason r = c.run(chunk);
             next->executed += chunk;
             node.progressed = true;
-            if (r == riscv::HaltReason::kExited ||
-                r == riscv::HaltReason::kEbreak) {
-                next->done = true;
-            } else if (r == riscv::HaltReason::kWfi) {
-                if (!c.interruptPending())
-                    next->parked = true; // Barriers re-arm on wake.
+            if (r == riscv::HaltReason::kMemWait) {
+                // The chunk needs another node's state: the barrier
+                // finishes it, and the core sits out this quantum.
+                next->atBarrier = true;
+                std::uint64_t rest = chunk - (c.instret() - instret);
+                CoreState *s = next;
+                router_.post([&finish_chunk, s, rest, n] {
+                    finish_chunk(*s, rest, n);
+                });
+                continue;
             }
+            settle(*next, r);
         }
     };
 

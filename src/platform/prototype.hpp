@@ -136,9 +136,11 @@ struct PrototypeConfig
      * keeps today's sequential cycle-interleaved runCores() exactly.
      * threads > 1 or quantum > 0 selects the phased engine: nodes advance
      * in quanta bounded by the PCIe one-way lookahead and exchange
-     * cross-node traffic at quantum boundaries; results are bit-identical
-     * for any thread count on node-partitioned workloads (see
-     * docs/INTERNALS.md).
+     * cross-node traffic at quantum boundaries — including coherence
+     * transactions: a core whose access would touch another node's
+     * state stops, and the next barrier performs the access and
+     * finishes the core's chunk. Results are bit-identical for any
+     * thread count (see docs/INTERNALS.md, "Parallel execution").
      */
     sim::ParallelConfig parallel;
     /** Online coherence invariant checker (src/check/). Off by default;
@@ -406,6 +408,8 @@ class Prototype
     Cycles probeClock_ = 0;
     PhasedResume resume_;
     PhasedLive *live_ = nullptr; ///< Non-null only inside runCoresPhased.
+    /** Node whose stopped chunk the barrier is finishing, or kNoNode. */
+    NodeId performingFor_ = sim::kNoNode;
     std::function<void(Cycles)> barrierProbe_;
     std::vector<std::unique_ptr<accel::GngAccelerator>> gngs_;
     std::vector<std::unique_ptr<accel::MapleEngine>> maples_;

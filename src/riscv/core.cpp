@@ -194,6 +194,8 @@ RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
         Addr pte_addr = table + vpn_i * 8;
         Cycles pte_lat = 0;
         std::uint64_t pte = port_.load(pte_addr, 8, cycles_ + lat, pte_lat);
+        if (port_.stopped())
+            return TranslateResult{};
         lat += pte_lat;
 
         if (!(pte & kPteV) || (!(pte & kPteR) && (pte & kPteW)))
@@ -225,6 +227,8 @@ RvCore::translate(Addr vaddr, MemAccess access, Cycles &lat)
             if (new_pte != pte) {
                 Cycles st_lat = 0;
                 port_.store(pte_addr, 8, new_pte, cycles_ + lat, st_lat);
+                if (port_.stopped())
+                    return TranslateResult{};
                 lat += st_lat;
             }
 
@@ -420,12 +424,26 @@ RvCore::run(std::uint64_t max_instructions)
             return HaltReason::kEbreak;
         if (lastStall_ == Stall::kWfi)
             return HaltReason::kWfi;
+        if (lastStall_ == Stall::kMemWait)
+            return HaltReason::kMemWait;
     }
     return HaltReason::kInstrBudget;
 }
 
 Cycles
 RvCore::step()
+{
+    Cycles total = execute();
+    if (port_.stopped()) {
+        // Abandoned before retiring (execute() returned 0).
+        port_.clearStop();
+        lastStall_ = Stall::kMemWait;
+    }
+    return total;
+}
+
+Cycles
+RvCore::execute()
 {
     if (exited_)
         return 0;
@@ -466,6 +484,8 @@ RvCore::step()
     // Fetch (with translation).
     Cycles xlat_lat = 0;
     TranslateResult tr = translate(pc, MemAccess::kFetch, xlat_lat);
+    if (port_.stopped())
+        return 0;
     total += xlat_lat;
     if (tr.fault) {
         takeTrap(tr.cause, pc);
@@ -502,6 +522,8 @@ RvCore::step()
             CodeRef ref = port_.codeRef(tr.paddr);
             Cycles fetch_lat = 0;
             word = port_.fetch(tr.paddr, cycles_, fetch_lat);
+            if (port_.stopped())
+                return 0;
             if (fetch_lat > 1)
                 total += fetch_lat - 1;
             d = decode(word);
@@ -521,6 +543,8 @@ RvCore::step()
     if (!decoded) {
         Cycles fetch_lat = 0;
         word = port_.fetch(tr.paddr, cycles_, fetch_lat);
+        if (port_.stopped())
+            return 0;
         if (fetch_lat > 1)
             total += fetch_lat - 1; // L1I hit is covered by the base cycle.
         d = decode(word);
@@ -540,12 +564,18 @@ RvCore::step()
             regs_[d.rd] = v;
     };
 
-    // Data access helper: translate + access, with fault handling.
+    // Data access helper: translate + access, with fault handling. A
+    // walk the port stopped ends the access like a fault would, and the
+    // step is abandoned after the switch.
     bool trapped = false;
     auto dataAddr = [&](MemAccess acc, Addr vaddr) -> Addr {
         Cycles lat = 0;
         TranslateResult r = translate(vaddr, acc, lat);
         total += lat;
+        if (port_.stopped()) {
+            trapped = true;
+            return 0;
+        }
         if (r.fault) {
             takeTrap(r.cause, vaddr);
             trapped = true;
@@ -623,6 +653,8 @@ RvCore::step()
                 (pa & (bytes - 1)) == 0 &&
                 port_.loadFastHit(pa, bytes, cycles_, lat, v)))
               v = port_.load(pa, bytes, cycles_, lat);
+          if (port_.stopped())
+              return 0;
           total += lat;
           switch (d.op) {
             case Op::kLb:
@@ -662,6 +694,8 @@ RvCore::step()
                 (pa & (bytes - 1)) == 0 &&
                 port_.storeFastHit(pa, bytes, rs2(), cycles_, lat)))
               port_.store(pa, bytes, rs2(), cycles_, lat);
+          if (port_.stopped())
+              return 0;
           total += lat;
           hasReservation_ = false;
           break;
@@ -895,6 +929,8 @@ RvCore::step()
           std::uint32_t bytes = d.op == Op::kLrW ? 4 : 8;
           Cycles lat = 0;
           std::uint64_t v = port_.load(pa, bytes, cycles_, lat);
+          if (port_.stopped())
+              return 0;
           total += lat;
           if (d.op == Op::kLrW)
               v = sext32(v);
@@ -911,6 +947,8 @@ RvCore::step()
           if (hasReservation_ && reservation_ == lineAlign(pa)) {
               Cycles lat = 0;
               port_.store(pa, bytes, rs2(), cycles_, lat);
+              if (port_.stopped())
+                  return 0;
               total += lat;
               wr(0);
           } else {
@@ -959,6 +997,8 @@ RvCore::step()
                       }
                   },
                   cycles_, lat);
+              if (port_.stopped())
+                  return 0;
               total += lat;
               wr(is64 ? old : sext32(old));
               hasReservation_ = false;
@@ -970,6 +1010,8 @@ RvCore::step()
       }
     }
 
+    if (port_.stopped())
+        return 0; // A translation walk was deferred.
     if (!redirect && !trapped)
         pc_ = next_pc;
     ++instret_;

@@ -141,6 +141,21 @@ class MemPort
         (void)lat;
         return false;
     }
+
+    /**
+     * True when the port declined the access just issued instead of
+     * performing it (the phased engine leaves cross-node transactions
+     * to the next quantum barrier). The value and latency it returned
+     * are meaningless: the core abandons the step before anything
+     * retires — no commit, no instret, pc unchanged — acknowledges with
+     * clearStop(), and run() returns HaltReason::kMemWait. Executing the
+     * instruction again once the port accepts the access retires it.
+     */
+    bool stopped() const { return stopped_; }
+    void clearStop() { stopped_ = false; }
+
+  protected:
+    bool stopped_ = false;
 };
 
 /** Static configuration of one core (Table 2 defaults). */
@@ -173,6 +188,9 @@ enum class HaltReason : std::uint8_t
     kExited,      ///< Environment requested exit (see exitCode()).
     kEbreak,      ///< Hit an ebreak.
     kWfi,         ///< Waiting for interrupt with none pending.
+    /** The memory port declined an access (MemPort::stopped): nothing
+     *  retired; the instruction runs again when the port accepts it. */
+    kMemWait,
 };
 
 /**
@@ -232,7 +250,8 @@ class RvCore
     /** Executes instructions until a halt condition. */
     HaltReason run(std::uint64_t max_instructions);
 
-    /** Executes one instruction; returns the cycles it consumed. */
+    /** Executes one instruction; returns the cycles it consumed (0, with
+     *  nothing retired, when the memory port stopped it). */
     Cycles step();
 
     // Architectural state access.
@@ -337,6 +356,8 @@ class RvCore
 
     void takeTrap(std::uint64_t cause, std::uint64_t tval);
     bool maybeTakeInterrupt();
+    /** One attempt at the next instruction (the body of step()). */
+    Cycles execute();
     bool predictTaken(Addr pc);
     void trainBht(Addr pc, bool taken);
 
@@ -385,6 +406,7 @@ class RvCore
         kNone,
         kWfi,
         kEbreak,
+        kMemWait,
     };
 
     bool exited_ = false;

@@ -58,6 +58,13 @@ MailboxRouter::drain()
     return ran;
 }
 
+void
+MailboxRouter::discard()
+{
+    for (auto &lane : lanes_)
+        lane.clear();
+}
+
 std::uint64_t
 MailboxRouter::pending() const
 {

@@ -19,11 +19,12 @@
  *    whose state it is allowed to touch, so shared components can tell a
  *    node phase from serial (setup/barrier) context.
  *
- * Determinism contract: for workloads whose mid-quantum footprint is
- * node-disjoint (cross-node interaction flows through the mailbox or the
- * event queue), results are bit-identical for any worker count, because
- * node phases touch disjoint state and every serializing step (mailbox
- * drain, event pump, stat-shard merge) runs in a fixed order.
+ * Determinism contract: results are bit-identical for any worker count,
+ * because node phases touch disjoint state — every interaction that
+ * would reach another node (bridge and PCIe traffic, interrupts, and a
+ * core's coherence, NC and device accesses, see Prototype::CorePort)
+ * is posted to the mailbox instead — and every serializing step
+ * (mailbox drain, event pump, stat-shard merge) runs in a fixed order.
  */
 
 #pragma once
@@ -100,6 +101,10 @@ class MailboxRouter
 
     /** Runs and discards all deferred work. @return Entries executed. */
     std::uint64_t drain();
+
+    /** Drops all deferred work without running it (a run unwinding on
+     *  an exception, whose entries may point into its frame). */
+    void discard();
 
     /** Entries currently deferred. */
     std::uint64_t pending() const;

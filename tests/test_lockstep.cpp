@@ -317,9 +317,9 @@ TEST(LockstepFuzz, DataFastPathOnAndOffReachIdenticalFinalState)
     // under the golden-model checker: zero divergences each, and equal
     // commit counts pin the final architectural state as identical
     // (every commit was already golden-verified). Both harts live on
-    // one node: with cross-hart sharing enabled, the phased engine only
-    // guarantees run-to-run determinism for node-confined footprints —
-    // cross-node miss races resolve in worker-interleaving order.
+    // one node, so every shared-line miss runs mid-quantum, on the fast
+    // and slow paths alike; cross-node misses would be performed at
+    // quantum barriers instead.
     for (std::uint32_t workers : {0u, 2u, 4u}) {
         FuzzConfig cfg;
         cfg.spec = "1x1x2";
